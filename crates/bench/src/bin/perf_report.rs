@@ -1,9 +1,10 @@
 //! `perf_report`: the repo's perf-trajectory harness.
 //!
 //! Times the frontend simulator's hot primitives (one iteration per
-//! delivery path, raw DSB operations, long-run steady-state collapse)
-//! and representative per-bit covert-channel costs, then emits the
-//! results as JSON in the `BENCH_frontend.json` schema.
+//! delivery path, raw DSB operations, long-run steady-state collapse,
+//! round-robin over a large chain working set) and representative
+//! per-bit covert-channel costs, then emits the results as JSON in the
+//! `BENCH_frontend.json` schema.
 //!
 //! Usage:
 //!
@@ -38,6 +39,11 @@ const MAX_REGRESSION: f64 = 3.0;
 /// as everything else. `--quick`'s few samples are too noisy for a 2%
 /// gate, so quick checks fall back to [`MAX_REGRESSION`].
 const TRACE_OFF_REGRESSION: f64 = 1.02;
+
+/// Distinct chains the rotating metrics cycle through (the benchmark's
+/// `frontend.rotating_iter_ns` / `cpu.run_once_rotating_ns` use the same
+/// set).
+const ROTATING_CHAINS: usize = 320;
 
 struct Budget {
     samples: usize,
@@ -230,6 +236,36 @@ fn measure(budget: &Budget) -> Vec<Metric> {
         },
     );
     push("core_run_once_lsd", ns, budget.iter_ops);
+
+    // Round-robin over more distinct chains than one Spectre L1I
+    // Prime+Probe chunk touches: every lookup in the delivery-plan and
+    // backend-throughput memos is a revisit after 319 other chains, so
+    // a memo that cannot hold the working set shows up here.
+    let chains: Vec<BlockChain> = (0..ROTATING_CHAINS as u64)
+        .map(|k| {
+            same_set_chain(
+                0x0100_0000 + k * 0x0004_0000,
+                DsbSet::new((k % 32) as u8),
+                2 + k as usize % 6,
+                Alignment::Aligned,
+            )
+        })
+        .collect();
+    let rotation = 4 * ROTATING_CHAINS as u64;
+    let mut fe = Frontend::new(FrontendConfig::default());
+    let mut i = 0;
+    let ns = time_ns_per_op(ROTATING_CHAINS as u64, budget.samples, rotation, || {
+        black_box(fe.run_iteration(ThreadId::T0, &chains[i]));
+        i = (i + 1) % chains.len();
+    });
+    push("frontend_rotating_iteration", ns, rotation);
+    let mut core = leaky_cpu::Core::new(ProcessorModel::gold_6226(), 7);
+    let mut i = 0;
+    let ns = time_ns_per_op(ROTATING_CHAINS as u64, budget.samples, rotation, || {
+        black_box(core.run_once(ThreadId::T0, &chains[i]));
+        i = (i + 1) % chains.len();
+    });
+    push("core_run_once_rotating", ns, rotation);
 
     // Per-bit covert-channel costs (the quantity that bounds how many
     // Table II-VI scenarios a sweep can afford); channels come from the

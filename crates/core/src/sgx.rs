@@ -400,24 +400,21 @@ impl SgxMtChannel {
         let p = self.params.p;
         let q = self.params.q;
         if m {
-            // The sender enters the enclave on T1 and encodes concurrently.
-            let recv = self.recv.clone();
-            let send = self.send_one.clone();
-            // Enclave transition cost on the sender thread.
+            // The sender enters the enclave on T1 and encodes concurrently,
+            // after the enclave transition cost on its thread.
             self.core
                 .idle(ThreadId::T1, self.enclave.round_trip_cycles());
             self.core.frontend_mut().flush_thread_state(ThreadId::T1);
-            let (r, _s) = self.core.run_concurrent(
+            self.core.run_concurrent(
                 ThreadWork {
-                    chain: &recv,
+                    chain: &self.recv,
                     iterations: p,
                 },
                 ThreadWork {
-                    chain: &send,
+                    chain: &self.send_one,
                     iterations: q,
                 },
             );
-            let _ = r;
         } else {
             self.core.run_loop(tid, &self.recv, p);
         }

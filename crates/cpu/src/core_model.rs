@@ -2,7 +2,8 @@
 
 use leaky_backend::Backend;
 use leaky_frontend::{
-    Frontend, FrontendConfig, IterationReport, SmtDsbPolicy, ThreadId, UarchProfile,
+    ChainMemo, Frontend, FrontendConfig, IterationReport, MemoStats, SmtDsbPolicy, ThreadId,
+    UarchProfile,
 };
 use leaky_isa::BlockChain;
 use leaky_power::{DeliveryClass, PowerModel, Rapl};
@@ -11,11 +12,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::model::{MicrocodePatch, ProcessorModel};
 use crate::timer::{NoiseModel, Timer};
-
-/// Upper bound on memoised backend-throughput entries per core (a channel
-/// juggles a handful of chains; eviction only matters for long sweeps
-/// that rebuild layouts on one core).
-const BACKEND_CACHE_CAPACITY: usize = 64;
 
 /// The result of running a loop on one thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,14 +69,13 @@ pub struct Core {
     /// Each thread's recent µops-per-cycle, used to share backend width
     /// proportionally under SMT.
     recent_upc: [f64; 2],
-    /// Memoised backend throughput per chain, keyed by the precomputed
-    /// ([`BlockChain::key`], frontend profile key) pair and kept
-    /// MRU-first — `finish_run` is the hottest path, so the common case
-    /// is one equality probe on the front slot. The profile-key half
-    /// makes [`Core::reconfigure_frontend`] safe: entries memoised under
-    /// a previous configuration stop matching instead of leaking into
-    /// the new one.
-    backend_cache: Vec<((u64, u64), f64)>,
+    /// Memoised backend throughput (cycles per iteration) of every chain
+    /// this core has run, keyed by the precomputed ([`BlockChain::key`],
+    /// frontend profile key) pair. The profile-key half makes
+    /// [`Core::reconfigure_frontend`] safe: entries memoised under a
+    /// previous configuration stop matching instead of leaking into the
+    /// new one.
+    backend_memo: ChainMemo<f64>,
     rng: StdRng,
 }
 
@@ -156,7 +151,7 @@ impl Core {
             sibling_demand: [0.0, 0.0],
             trace_sibling: [false, false],
             recent_upc: [0.0, 0.0],
-            backend_cache: Vec::new(),
+            backend_memo: ChainMemo::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d),
             model,
             patch,
@@ -213,6 +208,12 @@ impl Core {
     /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
     pub fn reconfigure_frontend(&mut self, config: FrontendConfig) {
         self.frontend.reconfigure(config);
+    }
+
+    /// Lookup counters and size of the backend-throughput memo. Telemetry
+    /// only: no report or document renders them.
+    pub fn backend_memo_stats(&self) -> MemoStats {
+        self.backend_memo.stats()
     }
 
     /// The backend model.
@@ -451,28 +452,17 @@ impl Core {
         iterations: u64,
         report: IterationReport,
     ) -> LoopRun {
-        let key = (chain.key(), self.frontend.profile_key());
-        let per_iter = match self.backend_cache.first() {
-            Some(&(k, v)) if k == key => v,
-            _ => match self.backend_cache.iter().position(|&(k, _)| k == key) {
-                Some(pos) => {
-                    // Promote to MRU so the steady-state probe stays O(1).
-                    self.backend_cache[..=pos].rotate_right(1);
-                    self.backend_cache[0].1
-                }
-                None => {
+        let backend = &self.backend;
+        let per_iter =
+            self.backend_memo
+                .get_or_insert_with(chain.key(), self.frontend.profile_key(), || {
                     let instrs: Vec<_> = chain
                         .blocks()
                         .iter()
                         .flat_map(|b| b.instructions().iter().copied())
                         .collect();
-                    let v = self.backend.throughput_cycles(&instrs);
-                    self.backend_cache.insert(0, (key, v));
-                    self.backend_cache.truncate(BACKEND_CACHE_CAPACITY);
-                    v
-                }
-            },
-        };
+                    backend.throughput_cycles(&instrs)
+                });
         let mut backend_cycles = per_iter * iterations as f64;
         let t = tid.index();
         if self.frontend.both_active() {
@@ -817,6 +807,44 @@ mod tests {
         let fresh_cold = fresh.run_once(ThreadId::T0, &c);
         assert_eq!(after.report, fresh_cold.report);
         assert!((after.cycles - fresh_cold.cycles).abs() < 1e-12);
+    }
+
+    #[test]
+    fn backend_memo_entries_match_fresh_throughput() {
+        // 320 distinct chains, more than any small bounded memo holds,
+        // visited twice: every memoised value must equal a fresh backend
+        // computation bit for bit, and the second pass must only hit.
+        let chains: Vec<BlockChain> = (0..320u64)
+            .map(|k| {
+                chain(
+                    0x0100_0000 + k * 0x4_0000,
+                    (k % 32) as u8,
+                    2 + k as usize % 6,
+                )
+            })
+            .collect();
+        let mut core = Core::new(ProcessorModel::gold_6226(), 5);
+        for _ in 0..2 {
+            for c in &chains {
+                core.run_once(ThreadId::T0, c);
+            }
+        }
+        let stats = core.backend_memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (320, 320, 320));
+        let fresh = Backend::skylake();
+        let profile_key = core.frontend().profile_key();
+        for c in &chains {
+            let instrs: Vec<_> = c
+                .blocks()
+                .iter()
+                .flat_map(|b| b.instructions().iter().copied())
+                .collect();
+            let memo = core.backend_memo.peek(c.key(), profile_key);
+            assert_eq!(
+                memo.map(|v| v.to_bits()),
+                Some(fresh.throughput_cycles(&instrs).to_bits())
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use leaky_uarch::UarchProfile;
 use crate::costs::CostModel;
 use crate::counters::{detect_report_period, IterationReport, UopSource};
 use crate::dsb::{Dsb, LineId, SmtDsbPolicy};
-use crate::plan::{pack_lock_member, DeliveryPlan, PlanBlock, PlanCache};
+use crate::memo::MemoStats;
+use crate::plan::{pack_lock_member, plan_for, DeliveryPlan, PlanBlock, PlanCache};
 
 /// One of the two hardware threads sharing the physical core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,7 +225,7 @@ pub struct Frontend {
     /// warm-up tracking.
     lock_streak: [(u64, u32); 2],
     cumulative: [IterationReport; 2],
-    /// Memoized delivery plans for the chains this frontend executes,
+    /// Memoized delivery plans of every chain this frontend has run,
     /// keyed by (chain key, `config_key`).
     plans: PlanCache,
     /// Cached [`FrontendConfig::profile_key`] of the active configuration
@@ -289,6 +290,12 @@ impl Frontend {
     /// plan cache (and `leaky_cpu`'s backend memo) pair with chain keys.
     pub fn profile_key(&self) -> u64 {
         self.config_key
+    }
+
+    /// Lookup counters and size of the delivery-plan memo. Telemetry
+    /// only: no report or document renders them.
+    pub fn plan_memo_stats(&self) -> MemoStats {
+        self.plans.stats()
     }
 
     /// Swaps in a new configuration, modeling a microcode update /
@@ -457,9 +464,12 @@ impl Frontend {
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn run_iteration(&mut self, tid: ThreadId, chain: &BlockChain) -> IterationReport {
-        let plan = self
-            .plans
-            .get_or_build(chain, &self.config.geometry, self.config_key);
+        let plan = plan_for(
+            &mut self.plans,
+            chain,
+            &self.config.geometry,
+            self.config_key,
+        );
         self.run_iteration_plan(tid, &plan)
     }
 
@@ -577,9 +587,12 @@ impl Frontend {
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn run_iterations(&mut self, tid: ThreadId, chain: &BlockChain, n: u64) -> IterationReport {
-        let plan = self
-            .plans
-            .get_or_build(chain, &self.config.geometry, self.config_key);
+        let plan = plan_for(
+            &mut self.plans,
+            chain,
+            &self.config.geometry,
+            self.config_key,
+        );
         let mut total = IterationReport::new();
         let mut history: Vec<IterationReport> = Vec::with_capacity(2 * MAX_STEADY_PERIOD);
         let mut done = 0u64;

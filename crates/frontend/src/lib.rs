@@ -53,6 +53,7 @@ pub mod counters;
 pub mod dsb;
 pub mod engine;
 pub mod lsd;
+pub mod memo;
 mod plan;
 pub mod reference;
 
@@ -65,4 +66,5 @@ pub use engine::{Frontend, FrontendConfig, ThreadId};
 pub use leaky_trace::{TraceHook, TraceMode};
 pub use leaky_uarch::UarchProfile;
 pub use lsd::{lsd_qualifies, LsdVerdict};
+pub use memo::{ChainMemo, MemoStats};
 pub use reference::NaiveFrontend;

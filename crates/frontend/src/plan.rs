@@ -6,16 +6,18 @@
 //! delivery order), per-instruction decode footprints for LCP blocks,
 //! L1I cache-line footprints, window-crossing head windows, the LSD
 //! qualification verdicts, and the sorted lock-membership array. Plans
-//! are built once per `(chain, frontend)` pair and cached MRU-first in a
-//! small [`PlanCache`], so the per-iteration hot path walks precomputed
-//! flat slices instead of re-deriving windows, chunks and hashes — and
-//! performs zero heap allocations.
+//! are built once per `(chain, configuration)` pair and kept in the
+//! frontend's [`PlanCache`], a keyed [`ChainMemo`], so the
+//! per-iteration hot path walks precomputed flat slices instead of
+//! re-deriving windows, chunks and hashes — and performs zero heap
+//! allocations.
 
 use std::rc::Rc;
 
 use leaky_isa::{BlockChain, FrontendGeometry};
 
 use crate::lsd::lsd_qualifies;
+use crate::memo::ChainMemo;
 
 /// One DSB line in delivery order (thread id is bound at execution time).
 #[derive(Debug, Clone, Copy)]
@@ -68,11 +70,6 @@ pub(crate) struct PlanBlock {
 pub(crate) struct DeliveryPlan {
     /// The chain's identity key ([`BlockChain::key`]).
     pub key: u64,
-    /// The profile key of the configuration this plan was built under
-    /// ([`crate::FrontendConfig::profile_key`]). Cache lookups match on
-    /// `(key, config_key)`, so reconfiguring a frontend's geometry or
-    /// cost model can never resurrect a stale plan.
-    pub config_key: u64,
     /// Total µops per iteration.
     pub total_uops: u32,
     /// Per-block ranges and flags, in execution order.
@@ -105,19 +102,17 @@ pub(crate) fn pack_lock_member(window: u64, chunk: u8) -> u64 {
 }
 
 impl DeliveryPlan {
-    /// Precomputes the delivery recipe for `chain` under `geom`,
-    /// stamping it with the owning configuration's `config_key`.
+    /// Precomputes the delivery recipe for `chain` under `geom`.
     ///
     /// # Panics
     ///
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
-    pub fn build(chain: &BlockChain, geom: &FrontendGeometry, config_key: u64) -> DeliveryPlan {
+    pub fn build(chain: &BlockChain, geom: &FrontendGeometry) -> DeliveryPlan {
         let line_uops = geom.dsb_line_uops as u32;
         let sets = geom.dsb_sets as u64;
         let mut plan = DeliveryPlan {
             key: chain.key(),
-            config_key,
             total_uops: chain.total_uops(),
             blocks: Vec::with_capacity(chain.len()),
             lines: Vec::new(),
@@ -188,56 +183,34 @@ impl DeliveryPlan {
     }
 }
 
-/// Small MRU cache of delivery plans, keyed by *(chain identity,
-/// configuration profile key)*.
+/// The delivery plans of every chain a frontend has run, keyed by
+/// *(chain identity, configuration profile key)*.
 ///
-/// Capacity covers every chain a channel juggles at once (receiver,
-/// sender 1/0 encodings, decoys) with ample slack. The profile-key half
-/// of the cache key is what makes [`crate::Frontend::reconfigure`] safe:
-/// plans built under the old geometry or cost model simply stop
-/// matching, so a reconfigured frontend rebuilds rather than reusing
-/// stale splits. Hits cost one equality probe on the MRU slot.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlanCache {
-    plans: Vec<Rc<DeliveryPlan>>,
-}
+/// The profile-key half of the key is what makes
+/// [`crate::Frontend::reconfigure`] safe: plans built under the old
+/// geometry or cost model simply stop matching, so a reconfigured
+/// frontend rebuilds rather than reusing stale splits. Both key halves
+/// are FNV content hashes, so the memo hashes them with a pass-through
+/// mix instead of SipHash; plans are shared via `Rc`, so a hit costs
+/// one cheap hash, one probe and a reference-count bump.
+pub(crate) type PlanCache = ChainMemo<Rc<DeliveryPlan>>;
 
-/// Upper bound on retained plans per frontend.
-const PLAN_CACHE_CAPACITY: usize = 32;
-
-impl PlanCache {
-    /// Returns the plan for `chain` under the configuration identified by
-    /// `config_key`, building and caching it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry's µops-per-line is zero
-    /// (`Block::line_slots_for`).
-    pub fn get_or_build(
-        &mut self,
-        chain: &BlockChain,
-        geom: &FrontendGeometry,
-        config_key: u64,
-    ) -> Rc<DeliveryPlan> {
-        let key = chain.key();
-        if let Some(front) = self.plans.first() {
-            if front.key == key && front.config_key == config_key {
-                return Rc::clone(front);
-            }
-        }
-        if let Some(pos) = self
-            .plans
-            .iter()
-            .position(|p| p.key == key && p.config_key == config_key)
-        {
-            self.plans[..=pos].rotate_right(1);
-            return Rc::clone(&self.plans[0]);
-        }
-        let plan = Rc::new(DeliveryPlan::build(chain, geom, config_key));
-        self.plans.insert(0, Rc::clone(&plan));
-        self.plans.truncate(PLAN_CACHE_CAPACITY);
-        plan
-    }
+/// Returns the plan for `chain` under the configuration identified by
+/// `config_key`, building and memoizing it on first use.
+///
+/// # Panics
+///
+/// Panics if the geometry's µops-per-line is zero
+/// (`Block::line_slots_for`).
+pub(crate) fn plan_for(
+    plans: &mut PlanCache,
+    chain: &BlockChain,
+    geom: &FrontendGeometry,
+    config_key: u64,
+) -> Rc<DeliveryPlan> {
+    plans.get_or_insert_with(chain.key(), config_key, || {
+        Rc::new(DeliveryPlan::build(chain, geom))
+    })
 }
 
 #[cfg(test)]
@@ -251,9 +224,8 @@ mod tests {
     fn plan_matches_chain_shape() {
         let geom = FrontendGeometry::skylake();
         let chain = same_set_chain(BASE, DsbSet::new(0), 8, Alignment::Aligned);
-        let plan = DeliveryPlan::build(&chain, &geom, 7);
+        let plan = DeliveryPlan::build(&chain, &geom);
         assert_eq!(plan.key, chain.key());
-        assert_eq!(plan.config_key, 7);
         assert_eq!(plan.total_uops, 40);
         assert_eq!(plan.blocks.len(), 8);
         assert_eq!(plan.lines.len(), chain.dsb_lines(&geom));
@@ -269,7 +241,7 @@ mod tests {
     fn misaligned_plan_tracks_crossings() {
         let geom = FrontendGeometry::skylake();
         let chain = same_set_chain(BASE, DsbSet::new(3), 4, Alignment::Misaligned);
-        let plan = DeliveryPlan::build(&chain, &geom, 0);
+        let plan = DeliveryPlan::build(&chain, &geom);
         assert_eq!(plan.crossing_head_windows.len(), 4);
         assert!(plan.blocks.iter().all(|b| b.crossing));
         // Two windows per block: head set 3 and the spill into set 4.
@@ -287,7 +259,7 @@ mod tests {
             LcpPattern::Mixed,
             16,
         )]);
-        let plan = DeliveryPlan::build(&chain, &geom, 0);
+        let plan = DeliveryPlan::build(&chain, &geom);
         assert!(plan.has_lcp);
         assert_eq!(plan.instrs.len(), 33);
         assert_eq!(plan.instrs.iter().filter(|i| i.has_lcp).count(), 16);
@@ -296,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_mru_and_bounded() {
+    fn refetch_returns_the_shared_plan() {
         let geom = FrontendGeometry::skylake();
         let mut cache = PlanCache::default();
         let chains: Vec<BlockChain> = (0..40)
@@ -309,18 +281,22 @@ mod tests {
                 )
             })
             .collect();
-        for c in &chains {
-            let p = cache.get_or_build(c, &geom, 1);
+        let first: Vec<Rc<DeliveryPlan>> = chains
+            .iter()
+            .map(|c| plan_for(&mut cache, c, &geom, 1))
+            .collect();
+        for (c, p) in chains.iter().zip(&first) {
             assert_eq!(p.key, c.key());
         }
-        assert!(cache.plans.len() <= PLAN_CACHE_CAPACITY);
-        // Re-fetch returns the identical (shared) plan, promoted to MRU.
-        let again = cache.get_or_build(chains.last().unwrap(), &geom, 1);
-        assert_eq!(Rc::strong_count(&again), 2); // the cache slot + `again`
-        assert_eq!(cache.plans[0].key, chains.last().unwrap().key());
-        // Evicted early entries rebuild rather than error.
-        let rebuilt = cache.get_or_build(&chains[0], &geom, 1);
-        assert_eq!(rebuilt.key, chains[0].key());
+        // Every re-fetch, in any order, returns the identical shared plan
+        // and never rebuilds, however many chains ran in between.
+        for (c, p) in chains.iter().zip(&first).rev() {
+            let again = plan_for(&mut cache, c, &geom, 1);
+            assert!(Rc::ptr_eq(&again, p));
+            assert_eq!(Rc::strong_count(&again), 3); // memo + `first` + `again`
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (40, 40, 40));
     }
 
     #[test]
@@ -341,15 +317,13 @@ mod tests {
             31,
         )]);
         let mut cache = PlanCache::default();
-        let a = cache.get_or_build(&chain, &sky, 10);
-        let b = cache.get_or_build(&chain, &wide, 20);
+        let a = plan_for(&mut cache, &chain, &sky, 10);
+        let b = plan_for(&mut cache, &chain, &wide, 20);
         assert_eq!(a.key, b.key, "same chain");
         assert_ne!(a.lines.len(), b.lines.len(), "splits must differ");
-        let a2 = cache.get_or_build(&chain, &sky, 10);
-        assert_eq!(a2.lines.len(), a.lines.len());
-        assert_eq!(a2.config_key, 10);
-        let b2 = cache.get_or_build(&chain, &wide, 20);
-        assert_eq!(b2.lines.len(), b.lines.len());
-        assert_eq!(b2.config_key, 20);
+        let a2 = plan_for(&mut cache, &chain, &sky, 10);
+        assert!(Rc::ptr_eq(&a2, &a));
+        let b2 = plan_for(&mut cache, &chain, &wide, 20);
+        assert!(Rc::ptr_eq(&b2, &b));
     }
 }

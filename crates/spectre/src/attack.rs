@@ -195,6 +195,24 @@ mod tests {
     }
 
     #[test]
+    fn l1i_prime_probe_chunk_never_re_misses_a_memo() {
+        // One tab7 L1I Prime+Probe chunk (tab7's seed and first secret
+        // chunk) cycles through more distinct chains than a small bounded
+        // memo holds; every memo miss must be a chain's first sight.
+        let mut attack = SpectreV1::new(ChannelKind::L1iPrimeProbe, vec![3], 2024);
+        assert_eq!(attack.leak().recovered, vec![3]);
+        let core = &attack.ctx.core;
+        for (memo, stats) in [
+            ("plan", core.frontend().plan_memo_stats()),
+            ("backend", core.backend_memo_stats()),
+        ] {
+            assert_eq!(stats.misses, stats.len as u64, "{memo} memo re-missed");
+            assert!(stats.len > 64, "{memo} memo holds {} chains", stats.len);
+            assert!(stats.hits > stats.misses, "{memo} memo: {stats:?}");
+        }
+    }
+
+    #[test]
     fn every_channel_recovers_the_secret() {
         for kind in ChannelKind::all() {
             let mut attack = SpectreV1::new(kind, secret(), 11);

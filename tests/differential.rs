@@ -84,7 +84,62 @@ fn geometry_from(g: (u8, u8, u8)) -> FrontendGeometry {
     }
 }
 
+/// 320 distinct chains across `chain_from`'s layout space (all six
+/// kinds, seven bases, varied sets and lengths): more than a bounded
+/// 32-plan or 64-entry memo would hold.
+fn many_chains() -> Vec<BlockChain> {
+    let chains: Vec<BlockChain> = (0..320u32)
+        .map(|i| chain_from(((i % 42) as u8, (i / 42 * 5) as u8, (i / 42) as u8)))
+        .collect();
+    let mut keys: Vec<u64> = chains.iter().map(BlockChain::key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), chains.len(), "chains must be distinct");
+    chains
+}
+
+/// Fisher-Yates shuffle of `0..n` driven by a SplitMix64 stream.
+fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        order.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    order
+}
+
 proptest! {
+    /// Memo transparency: revisiting a working set larger than any small
+    /// bounded memo, in random order on both threads, gives reports
+    /// identical to the memo-free naive engine.
+    #[test]
+    fn optimized_frontend_matches_naive_over_a_large_working_set(
+        seeds in (any::<u64>(), any::<u64>()),
+        policy in any::<u8>(),
+        lsd_enabled in any::<bool>(),
+    ) {
+        let chains = many_chains();
+        let config = config_from(policy, lsd_enabled, true);
+        let mut fast = Frontend::new(config);
+        let mut naive = NaiveFrontend::new(config);
+        for seed in [seeds.0, seeds.1] {
+            for i in permutation(chains.len(), seed) {
+                let tid = if (seed >> (i % 64)) & 1 == 0 { ThreadId::T0 } else { ThreadId::T1 };
+                let chain = &chains[i];
+                let fast_report = fast.run_iteration(tid, chain);
+                let naive_report = naive.run_iteration(tid, chain);
+                prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
+            }
+        }
+        for tid in [ThreadId::T0, ThreadId::T1] {
+            prop_assert_eq!(fast.counters(tid), naive.counters(tid), "cumulative counters diverged");
+        }
+    }
+
     /// Core differential property: arbitrary interleavings of iterations,
     /// thread activity changes and thread flushes produce identical
     /// reports, lock states and DSB occupancies on both engines.
