@@ -20,11 +20,12 @@
 use std::process::ExitCode;
 
 use leaky_bench::perf::{parse_json, render_report, report_metrics, time_ns_per_op, Metric};
-use leaky_cpu::ProcessorModel;
+use leaky_cpu::{ProcessorModel, ThreadWork};
 use leaky_frontend::{
     Dsb, Frontend, FrontendConfig, LineId, SmtDsbPolicy, ThreadId, TraceHook, TraceMode,
 };
 use leaky_frontends::channels::ChannelSpec;
+use leaky_frontends::ChannelParams;
 use leaky_isa::{same_set_chain, Alignment, Block, BlockChain, DsbSet, FrontendGeometry};
 use leaky_stats::error_rate;
 use std::hint::black_box;
@@ -266,6 +267,42 @@ fn measure(budget: &Budget) -> Vec<Metric> {
         i = (i + 1) % chains.len();
     });
     push("core_run_once_rotating", ns, rotation);
+
+    // One SGX MT 1-bit (§VIII) at the Core layer, shaped like
+    // `SgxMtChannel`'s eviction layout on the E-2174G: the in-enclave
+    // sender's state is flushed, then the receiver's p = 10 000
+    // iterations run against the sender's q = 1 000. Most of the bit is
+    // the receiver's solo tail, which `run_concurrent` replays from its
+    // frontend fixed point; the replayed share goes to stderr.
+    let params = ChannelParams::sgx_mt_defaults();
+    let set_x = DsbSet::new(3);
+    let recv = same_set_chain(0x0041_8000, set_x, params.d, Alignment::Aligned);
+    let send = same_set_chain(
+        0x0082_0000,
+        set_x,
+        params.sender_blocks_eviction(geom.dsb_ways),
+        Alignment::Aligned,
+    );
+    let mut core = leaky_cpu::Core::new(ProcessorModel::xeon_e2174g(), 7);
+    let sgx_ops = budget.bit_ops / 4;
+    let ns = time_ns_per_op(4, budget.samples, sgx_ops, || {
+        core.frontend_mut().flush_thread_state(ThreadId::T1);
+        black_box(core.run_concurrent(
+            ThreadWork {
+                chain: &recv,
+                iterations: params.p,
+            },
+            ThreadWork {
+                chain: &send,
+                iterations: params.q,
+            },
+        ));
+    });
+    push("core_run_concurrent_sgx_bit", ns, sgx_ops);
+    eprintln!(
+        "core_run_concurrent_sgx_bit: {:.1}% of iterations replayed",
+        100.0 * core.replay_stats().replayed_share()
+    );
 
     // Per-bit covert-channel costs (the quantity that bounds how many
     // Table II-VI scenarios a sweep can afford); channels come from the

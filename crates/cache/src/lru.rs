@@ -280,6 +280,16 @@ impl SetAssocCache {
         self.stats
     }
 
+    /// Records `n` accesses as hits without touching any set: exactly
+    /// what `n` re-accesses would record when they repeat an all-hit
+    /// pass over the same lines in the same order, because under true
+    /// LRU such a pass leaves every set's MRU order unchanged. Used by
+    /// the frontend's fixed-point replay.
+    pub fn count_repeated_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
+    }
+
     /// Resets statistics (contents are preserved).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();

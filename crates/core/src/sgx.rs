@@ -549,6 +549,35 @@ mod tests {
     }
 
     #[test]
+    fn mt_one_bit_replays_most_of_its_iterations() {
+        // One §VIII MT eviction 1-bit: the receiver's p = 10 000
+        // iterations against the sender's q = 1 000. Once the sender is
+        // done the receiver loops alone at a frontend fixed point, so
+        // `run_concurrent` must replay most iterations rather than
+        // simulate them (this bit replays 9 884 of its 11 000). A
+        // fixed-point test that grew too strict would keep every output
+        // byte and only lose the speed; this catches it.
+        let mut ch = SgxMtChannel::new(
+            ProcessorModel::xeon_e2174g(),
+            NonMtKind::Eviction,
+            ChannelParams::sgx_mt_defaults(),
+            321,
+        )
+        .unwrap();
+        let _ = ch.measure_bit(false);
+        let before = ch.core.replay_stats();
+        let _ = ch.measure_bit(true);
+        let after = ch.core.replay_stats();
+        let simulated = after.simulated - before.simulated;
+        let replayed = after.replayed - before.replayed;
+        assert_eq!(simulated + replayed, 11_000);
+        assert!(
+            replayed * 10 >= 8 * 11_000,
+            "replayed {replayed} of 11000 iterations"
+        );
+    }
+
+    #[test]
     fn sgx_power_channel_leaks_despite_rapl_lockdown() {
         // §VIII-3: the privileged-OS power attack. Slow (power-channel
         // iteration counts) but functional.

@@ -14,7 +14,7 @@ use crate::model::{MicrocodePatch, ProcessorModel};
 use crate::timer::{NoiseModel, Timer};
 
 /// The result of running a loop on one thread.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoopRun {
     /// Wall cycles the loop occupied on its thread (frontend/backend
     /// bottleneck combined).
@@ -32,6 +32,37 @@ impl LoopRun {
             0.0
         } else {
             (self.iterations * instructions_per_iteration) as f64 / self.cycles
+        }
+    }
+}
+
+impl std::ops::AddAssign for LoopRun {
+    fn add_assign(&mut self, run: LoopRun) {
+        self.cycles += run.cycles;
+        self.iterations += run.iterations;
+        self.report += run.report;
+    }
+}
+
+/// Monotonic counters of the iterations [`Core::run_concurrent`] ran:
+/// simulated through the frontend, or replayed from a solo fixed point
+/// (DESIGN.md §6). Telemetry only: no report or document renders them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Iterations simulated through the frontend.
+    pub simulated: u64,
+    /// Iterations replayed from a solo fixed point.
+    pub replayed: u64,
+}
+
+impl ReplayStats {
+    /// Replayed share of all counted iterations (0 when none ran).
+    pub fn replayed_share(&self) -> f64 {
+        let total = self.simulated + self.replayed;
+        if total == 0 {
+            0.0
+        } else {
+            self.replayed as f64 / total as f64
         }
     }
 }
@@ -76,6 +107,7 @@ pub struct Core {
     /// previous configuration stop matching instead of leaking into the
     /// new one.
     backend_memo: ChainMemo<f64>,
+    replay: ReplayStats,
     rng: StdRng,
 }
 
@@ -152,6 +184,7 @@ impl Core {
             trace_sibling: [false, false],
             recent_upc: [0.0, 0.0],
             backend_memo: ChainMemo::default(),
+            replay: ReplayStats::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d),
             model,
             patch,
@@ -214,6 +247,12 @@ impl Core {
     /// only: no report or document renders them.
     pub fn backend_memo_stats(&self) -> MemoStats {
         self.backend_memo.stats()
+    }
+
+    /// Counts of the iterations [`Core::run_concurrent`] simulated and
+    /// replayed since construction.
+    pub fn replay_stats(&self) -> ReplayStats {
+        self.replay
     }
 
     /// The backend model.
@@ -305,9 +344,17 @@ impl Core {
     }
 
     /// Runs both threads concurrently, interleaving loop iterations by
-    /// simulated wall time with scheduling jitter. Threads are activated on
-    /// entry; each is deactivated when its work completes (which triggers
-    /// the DSB partition transitions of §IV-B).
+    /// simulated wall time with scheduling jitter. Threads with work are
+    /// activated on entry and a thread without any is deactivated; each is
+    /// deactivated when its work completes (which triggers the DSB
+    /// partition transitions of §IV-B).
+    ///
+    /// Once the thread still running alone reaches a solo fixed point
+    /// (see [`Frontend::run_resolved`]), its remaining iterations are
+    /// replayed instead of simulated, with bit-identical results: each
+    /// still draws its jitter value, and every clock, counter, trace
+    /// event and energy deposit is applied in the simulated order
+    /// (DESIGN.md §6).
     ///
     /// # Panics
     ///
@@ -321,23 +368,15 @@ impl Core {
         // Sync both clocks to a common start.
         let start = self.clock[0].max(self.clock[1]);
         self.clock = [start, start];
-        self.set_active(ThreadId::T0, true);
-        self.set_active(ThreadId::T1, true);
+        self.set_active(ThreadId::T0, work0.iterations > 0);
+        self.set_active(ThreadId::T1, work1.iterations > 0);
 
+        let threads = [ThreadId::T0, ThreadId::T1];
         let mut remaining = [work0.iterations, work1.iterations];
-        let mut runs = [
-            LoopRun {
-                cycles: 0.0,
-                iterations: 0,
-                report: IterationReport::default(),
-            },
-            LoopRun {
-                cycles: 0.0,
-                iterations: 0,
-                report: IterationReport::default(),
-            },
-        ];
-        let chains = [work0.chain, work1.chain];
+        let mut runs = [LoopRun::default(); 2];
+        // Plans and backend throughputs are resolved once per call.
+        let chains = [work0.chain, work1.chain]
+            .map(|chain| (self.frontend.resolve(chain), self.backend_throughput(chain)));
 
         while remaining[0] > 0 || remaining[1] > 0 {
             // Pick the thread that is behind in wall time (with jitter), among
@@ -350,22 +389,46 @@ impl Core {
             } else {
                 1
             };
-            let tid = if pick == 0 {
-                ThreadId::T0
-            } else {
-                ThreadId::T1
-            };
-            let run = self.run_once(tid, chains[pick]);
-            runs[pick].cycles += run.cycles;
-            runs[pick].iterations += 1;
-            runs[pick].report += run.report;
+            let tid = threads[pick];
+            let (plan, per_iter) = &chains[pick];
+            let (report, fixed_point) = self.frontend.run_resolved(tid, plan);
+            let run = self.account(tid, *per_iter, 1, report);
+            self.replay.simulated += 1;
+            runs[pick] += run;
             remaining[pick] -= 1;
+            if fixed_point && run.cycles > 0.0 {
+                debug_assert_eq!(remaining[1 - pick], 0, "fixed point with a live sibling");
+                self.replay_solo_tail(tid, &run, remaining[pick], &mut runs[pick]);
+                remaining[pick] = 0;
+            }
             if remaining[pick] == 0 {
                 self.set_active(tid, false);
             }
         }
         let [r0, r1] = runs;
         (r0, r1)
+    }
+
+    /// Replays `n` more iterations of the solo fixed point whose simulated
+    /// iteration was `run`, applying per iteration exactly what the
+    /// simulated loop would, in its order: the (unused) jitter draw, the
+    /// frontend's bookkeeping, the clock, the RAPL deposit at the new
+    /// `seconds()` and the accumulation into `total`. `recent_upc` needs
+    /// no update: the simulated iteration already set it to this
+    /// iteration's value.
+    fn replay_solo_tail(&mut self, tid: ThreadId, run: &LoopRun, n: u64, total: &mut LoopRun) {
+        let t = tid.index();
+        let joules = mean_watts(&self.power, &self.frontend.config().costs, &run.report)
+            * self.model.cycles_to_seconds(run.cycles);
+        for _ in 0..n {
+            let _: f64 = self.rng.gen_range(-2.0..2.0);
+            self.frontend.replay_fixed_point(tid, &run.report);
+            self.clock[t] += run.cycles;
+            let now = self.seconds();
+            self.rapl.deposit(joules, now);
+            *total += *run;
+        }
+        self.replay.replayed += n;
     }
 
     /// Runs a loop repeatedly until roughly `cycle_budget` cycles elapse on
@@ -381,25 +444,16 @@ impl Core {
         chain: &BlockChain,
         cycle_budget: f64,
     ) -> LoopRun {
-        let mut total = LoopRun {
-            cycles: 0.0,
-            iterations: 0,
-            report: IterationReport::default(),
-        };
+        let mut total = LoopRun::default();
         // Batch iterations, re-estimating the per-iteration cost as the loop
         // warms up (cold iterations are much slower than steady state).
         while total.cycles < cycle_budget {
             let probe = self.run_once(tid, chain);
-            total.cycles += probe.cycles;
-            total.iterations += 1;
-            total.report += probe.report;
+            total += probe;
             let per_iter = probe.cycles.max(1e-9);
             let more = ((cycle_budget - total.cycles) / per_iter) as u64;
             if more > 0 {
-                let rest = self.run_loop(tid, chain, more);
-                total.cycles += rest.cycles;
-                total.iterations += rest.iterations;
-                total.report += rest.report;
+                total += self.run_loop(tid, chain, more);
             }
         }
         total
@@ -452,17 +506,33 @@ impl Core {
         iterations: u64,
         report: IterationReport,
     ) -> LoopRun {
+        let per_iter = self.backend_throughput(chain);
+        self.account(tid, per_iter, iterations, report)
+    }
+
+    /// Memoised backend throughput (cycles per iteration) of `chain`.
+    fn backend_throughput(&mut self, chain: &BlockChain) -> f64 {
         let backend = &self.backend;
-        let per_iter =
-            self.backend_memo
-                .get_or_insert_with(chain.key(), self.frontend.profile_key(), || {
-                    let instrs: Vec<_> = chain
-                        .blocks()
-                        .iter()
-                        .flat_map(|b| b.instructions().iter().copied())
-                        .collect();
-                    backend.throughput_cycles(&instrs)
-                });
+        self.backend_memo
+            .get_or_insert_with(chain.key(), self.frontend.profile_key(), || {
+                let instrs: Vec<_> = chain
+                    .blocks()
+                    .iter()
+                    .flat_map(|b| b.instructions().iter().copied())
+                    .collect();
+                backend.throughput_cycles(&instrs)
+            })
+    }
+
+    /// Charges `iterations` of a frontend `report` on `tid`: the
+    /// frontend/backend bottleneck, the clock, `recent_upc` and energy.
+    fn account(
+        &mut self,
+        tid: ThreadId,
+        per_iter: f64,
+        iterations: u64,
+        report: IterationReport,
+    ) -> LoopRun {
         let mut backend_cycles = per_iter * iterations as f64;
         let t = tid.index();
         if self.frontend.both_active() {
@@ -540,7 +610,10 @@ fn dominant_class(report: &IterationReport) -> DeliveryClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_frontend::TraceMode;
     use leaky_isa::{same_set_chain, Alignment, DsbSet};
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     const RECV: u64 = 0x0041_8000;
     const SEND: u64 = 0x0082_0000;
@@ -867,5 +940,189 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn zero_work_thread_ends_inactive() {
+        // A thread with no work must not stay marked active: every later
+        // solo run would otherwise be charged SMT costs.
+        let mut core = Core::new(ProcessorModel::gold_6226(), 1);
+        let recv = chain(RECV, 0, 6);
+        let send = chain(SEND, 0, 3);
+        let (r, s) = core.run_concurrent(
+            ThreadWork {
+                chain: &recv,
+                iterations: 20,
+            },
+            ThreadWork {
+                chain: &send,
+                iterations: 0,
+            },
+        );
+        assert_eq!((r.iterations, s.iterations), (20, 0));
+        assert!(!core.frontend().both_active());
+    }
+
+    /// The per-iteration loop `run_concurrent` ran before the solo-tail
+    /// replay, kept as its oracle (with the same zero-work activation).
+    fn reference_run_concurrent(
+        core: &mut Core,
+        work0: ThreadWork<'_>,
+        work1: ThreadWork<'_>,
+    ) -> (LoopRun, LoopRun) {
+        let start = core.clock[0].max(core.clock[1]);
+        core.clock = [start, start];
+        core.set_active(ThreadId::T0, work0.iterations > 0);
+        core.set_active(ThreadId::T1, work1.iterations > 0);
+        let mut remaining = [work0.iterations, work1.iterations];
+        let mut runs = [LoopRun::default(); 2];
+        let chains = [work0.chain, work1.chain];
+        while remaining[0] > 0 || remaining[1] > 0 {
+            let jitter: f64 = core.rng.gen_range(-2.0..2.0);
+            let pick = if remaining[0] == 0 {
+                1
+            } else if remaining[1] == 0 || core.clock[0] + jitter <= core.clock[1] {
+                0
+            } else {
+                1
+            };
+            let tid = [ThreadId::T0, ThreadId::T1][pick];
+            let run = core.run_once(tid, chains[pick]);
+            runs[pick].cycles += run.cycles;
+            runs[pick].iterations += 1;
+            runs[pick].report += run.report;
+            remaining[pick] -= 1;
+            if remaining[pick] == 0 {
+                core.set_active(tid, false);
+            }
+        }
+        let [r0, r1] = runs;
+        (r0, r1)
+    }
+
+    /// A receiver/sender pair: the eviction, misalignment and
+    /// disjoint-set layouts of the channels, or an LCP receiver.
+    fn chain_pair(layout: u8, d: usize) -> (BlockChain, BlockChain) {
+        use leaky_isa::{Addr, Block, LcpPattern};
+        let set_x = DsbSet::new(3);
+        let recv = same_set_chain(RECV, set_x, d, Alignment::Aligned);
+        match layout {
+            0 => (recv, same_set_chain(SEND, set_x, 9 - d, Alignment::Aligned)),
+            1 => (
+                recv,
+                same_set_chain(SEND, set_x, 8 - d, Alignment::Misaligned),
+            ),
+            2 => (
+                recv,
+                same_set_chain(SEND, DsbSet::new(19), 9 - d, Alignment::Aligned),
+            ),
+            _ => (
+                BlockChain::new(vec![Block::lcp_adds(
+                    Addr::new(0x10_0000),
+                    LcpPattern::Mixed,
+                    8,
+                )]),
+                same_set_chain(SEND, set_x, 3, Alignment::Aligned),
+            ),
+        }
+    }
+
+    /// Every observable of two cores that must agree bit for bit.
+    fn same_state(a: &Core, b: &Core, chains: [&BlockChain; 2]) -> Result<(), TestCaseError> {
+        let bits = |c: &Core| {
+            (
+                c.clock.map(f64::to_bits),
+                c.recent_upc.map(f64::to_bits),
+                c.rapl.exact_uj().to_bits(),
+            )
+        };
+        prop_assert_eq!(bits(a), bits(b));
+        let (fa, fb) = (a.frontend(), b.frontend());
+        for tid in [ThreadId::T0, ThreadId::T1] {
+            prop_assert_eq!(fa.counters(tid), fb.counters(tid));
+            for c in chains {
+                prop_assert_eq!(fa.lsd_locked(tid, c), fb.lsd_locked(tid, c));
+            }
+        }
+        prop_assert_eq!(fa.both_active(), fb.both_active());
+        prop_assert_eq!(fa.l1i().stats(), fb.l1i().stats());
+        for set in 0..fa.l1i().config().sets {
+            prop_assert_eq!(fa.l1i().set_lines(set), fb.l1i().set_lines(set));
+        }
+        for set in 0..fa.config().geometry.dsb_sets as u64 {
+            let probe = leaky_frontend::LineId {
+                thread: 0,
+                window: set,
+                chunk: 0,
+            };
+            let lines = |fe: &Frontend| fe.dsb().set_lines_for(probe).collect::<Vec<_>>();
+            prop_assert_eq!(lines(fa), lines(fb));
+        }
+        prop_assert_eq!(fa.trace().summary(), fb.trace().summary());
+        prop_assert_eq!(fa.trace().events(), fb.trace().events());
+        Ok(())
+    }
+
+    proptest! {
+        /// The solo-tail replay is exact: over random layouts, work
+        /// splits (p < q, q < p, zeros), seeds, LSD-on/off/absent
+        /// profiles and trace modes, `run_concurrent` leaves every
+        /// observable, and the RNG position, bit-identical to the
+        /// per-iteration reference loop.
+        #[test]
+        fn run_concurrent_matches_the_per_iteration_loop(
+            seed in any::<u64>(),
+            shape in (0u8..4, 1usize..8, 0u8..3, 0u8..3),
+            first in (0u64..6, 0u64..1500, 0u64..6, 0u64..1500),
+            second in (0u64..6, 0u64..1500, 0u64..6, 0u64..1500),
+            warmup in 0u64..6,
+        ) {
+            let (layout, d, profile, mode) = shape;
+            let (recv, send) = chain_pair(layout, d);
+            let make = || {
+                let mut core = match profile {
+                    0 => Core::new(ProcessorModel::gold_6226(), seed),
+                    1 => Core::new(ProcessorModel::xeon_e2174g(), seed),
+                    _ => Core::with_profile(
+                        ProcessorModel::gold_6226(),
+                        MicrocodePatch::Patch1,
+                        &UarchProfile::icelake(),
+                        seed,
+                    ),
+                };
+                core.set_trace(leaky_frontend::TraceHook::new(
+                    [TraceMode::Off, TraceMode::Summary, TraceMode::Events][mode as usize],
+                ));
+                core.run_loop(ThreadId::T0, &recv, warmup);
+                core
+            };
+            let (mut fast, mut slow) = (make(), make());
+            // A zero is drawn one time in six per side.
+            let iterations = |sel: u64, n: u64| if sel == 0 { 0 } else { n };
+            for (s0, n0, s1, n1) in [first, second] {
+                let works = || {
+                    (
+                        ThreadWork { chain: &recv, iterations: iterations(s0, n0) },
+                        ThreadWork { chain: &send, iterations: iterations(s1, n1) },
+                    )
+                };
+                let (w0, w1) = works();
+                let got = fast.run_concurrent(w0, w1);
+                let (w0, w1) = works();
+                let want = reference_run_concurrent(&mut slow, w0, w1);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got.0.cycles.to_bits(), want.0.cycles.to_bits());
+                prop_assert_eq!(got.1.cycles.to_bits(), want.1.cycles.to_bits());
+                same_state(&fast, &slow, [&recv, &send])?;
+            }
+            for _ in 0..8 {
+                prop_assert_eq!(
+                    fast.rdtscp(ThreadId::T0).to_bits(),
+                    slow.rdtscp(ThreadId::T0).to_bits()
+                );
+            }
+            prop_assert_eq!(fast.rng.next_u64(), slow.rng.next_u64());
+            prop_assert_eq!(fast.read_rapl(), slow.read_rapl());
+        }
     }
 }

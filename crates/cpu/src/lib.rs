@@ -35,6 +35,6 @@ pub mod core_model;
 pub mod model;
 pub mod timer;
 
-pub use core_model::{Core, LoopRun, ThreadWork};
+pub use core_model::{Core, LoopRun, ReplayStats, ThreadWork};
 pub use model::{MicrocodePatch, ProcessorModel};
 pub use timer::{NoiseModel, Timer};

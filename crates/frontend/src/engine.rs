@@ -10,6 +10,8 @@
 //! the differential property tests prove the reports are bit-identical
 //! to the naive implementation.
 
+use std::rc::Rc;
+
 use leaky_cache::{CacheConfig, SetAssocCache};
 use leaky_isa::{BlockChain, FrontendGeometry};
 use leaky_trace::{Source, TraceEvent, TraceHook, UnlockReason};
@@ -202,6 +204,18 @@ impl LoopLock {
         self.n_crossings += 1;
         Some(n + 1)
     }
+}
+
+/// A chain's delivery plan, looked up once by [`Frontend::resolve`] so
+/// that a driver running the same chain many times (`leaky_cpu`'s
+/// `Core::run_concurrent`) pays the plan-memo lookup once per call rather
+/// than once per iteration. Opaque; only valid for the frontend and
+/// configuration that resolved it.
+#[derive(Debug, Clone)]
+pub struct ResolvedChain {
+    plan: Rc<DeliveryPlan>,
+    /// The profile key the plan was resolved under.
+    profile_key: u64,
 }
 
 /// The simulated frontend shared by two hardware threads.
@@ -447,6 +461,87 @@ impl Frontend {
             .is_some_and(|l| l.key == chain.key())
     }
 
+    /// Resolves `chain`'s delivery plan for repeated
+    /// [`Frontend::run_resolved`] calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's µops-per-line is zero
+    /// (`Block::line_slots_for`).
+    pub fn resolve(&mut self, chain: &BlockChain) -> ResolvedChain {
+        ResolvedChain {
+            plan: plan_for(
+                &mut self.plans,
+                chain,
+                &self.config.geometry,
+                self.config_key,
+            ),
+            profile_key: self.config_key,
+        }
+    }
+
+    /// Runs one iteration of a resolved chain, exactly as
+    /// [`Frontend::run_iteration`] would, and reports whether it left
+    /// `tid` at a *solo fixed point*. From such a state every further
+    /// iteration of the same chain, while the sibling stays inactive,
+    /// returns the same report and changes nothing but the lock streak,
+    /// the L1I hit counts, the cumulative counters and the trace, so
+    /// [`Frontend::replay_fixed_point`] may stand in for it.
+    ///
+    /// The iteration is a fixed point when the sibling is inactive, no
+    /// LSD flush is pending, the chain has no LCP block, the iteration
+    /// had no MITE µops, L1I misses, DSB evictions, LSD flushes or switch
+    /// penalty, its LSD lock state did not change, and the thread is
+    /// LSD-locked, runs without an LSD, or is already past its warm-up
+    /// streak. Why that suffices is in DESIGN.md §6.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chain` was resolved under another configuration (a
+    /// [`Frontend::reconfigure`] since [`Frontend::resolve`]).
+    pub fn run_resolved(
+        &mut self,
+        tid: ThreadId,
+        chain: &ResolvedChain,
+    ) -> (IterationReport, bool) {
+        assert_eq!(
+            chain.profile_key, self.config_key,
+            "chain resolved under another configuration"
+        );
+        let t = tid.index();
+        let lock_before = self.locks[t].as_ref().map(|l| l.key);
+        let report = self.run_iteration_plan(tid, &chain.plan);
+        let lock_after = self.locks[t].as_ref().map(|l| l.key);
+        let fixed_point = !self.active[tid.other().index()]
+            && !self.pending_lsd_flush[t]
+            && !chain.plan.has_lcp
+            && report.mite_uops == 0
+            && report.l1i_misses == 0
+            && report.dsb_evictions == 0
+            && report.lsd_flushes == 0
+            && report.switch_penalty_cycles == 0.0
+            && lock_after == lock_before
+            && (lock_after.is_some()
+                || !self.config.lsd_enabled
+                || self.lock_streak[t].1 >= self.config.lsd_warmup_iterations);
+        (report, fixed_point)
+    }
+
+    /// Stands in for one more iteration after [`Frontend::run_resolved`]
+    /// reported a solo fixed point with `report`: bumps the lock streak,
+    /// counts the iteration's L1I fetches as hits, emits its iteration
+    /// event and adds `report` to the cumulative counters. The DSB, L1I
+    /// order, LSD lock and plan memo are left alone, because the
+    /// simulated iteration would leave them as they are.
+    pub fn replay_fixed_point(&mut self, tid: ThreadId, report: &IterationReport) {
+        let t = tid.index();
+        debug_assert!(!self.active[tid.other().index()] && !self.pending_lsd_flush[t]);
+        self.lock_streak[t].1 = self.lock_streak[t].1.saturating_add(1);
+        self.l1i.count_repeated_hits(report.l1i_accesses);
+        self.emit_iteration(t, report, 1);
+        self.cumulative[t] += *report;
+    }
+
     /// Executes one iteration of a loop over `chain` on thread `tid`,
     /// returning what the frontend did.
     ///
@@ -464,12 +559,7 @@ impl Frontend {
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn run_iteration(&mut self, tid: ThreadId, chain: &BlockChain) -> IterationReport {
-        let plan = plan_for(
-            &mut self.plans,
-            chain,
-            &self.config.geometry,
-            self.config_key,
-        );
+        let plan = self.resolve(chain).plan;
         self.run_iteration_plan(tid, &plan)
     }
 
@@ -587,12 +677,7 @@ impl Frontend {
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn run_iterations(&mut self, tid: ThreadId, chain: &BlockChain, n: u64) -> IterationReport {
-        let plan = plan_for(
-            &mut self.plans,
-            chain,
-            &self.config.geometry,
-            self.config_key,
-        );
+        let plan = self.resolve(chain).plan;
         let mut total = IterationReport::new();
         let mut history: Vec<IterationReport> = Vec::with_capacity(2 * MAX_STEADY_PERIOD);
         let mut done = 0u64;
